@@ -2,6 +2,7 @@ package cdfg
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -30,29 +31,57 @@ func (s NodeSet) Sorted() []NodeID {
 // Contains reports membership; a nil set contains nothing.
 func (s NodeSet) Contains(id NodeID) bool { return s[id] }
 
-// Intersect returns the intersection of s and t.
-func (s NodeSet) Intersect(t NodeSet) NodeSet {
-	small, big := s, t
-	if len(t) < len(s) {
-		small, big = t, s
+// Bits is a dense set of node IDs: bit id%64 of word id/64 is set for each
+// member. Size it to a graph with NewBits; a nil Bits contains nothing.
+type Bits []uint64
+
+// NewBits returns an empty set able to hold the IDs of an n-node graph.
+func NewBits(n int) Bits { return make(Bits, (n+63)/64) }
+
+// Has reports membership.
+func (b Bits) Has(id NodeID) bool {
+	w := int(id) >> 6
+	return w < len(b) && b[w]&(1<<(uint(id)&63)) != 0
+}
+
+// Add inserts id, which must fit the set's size.
+func (b Bits) Add(id NodeID) { b[id>>6] |= 1 << (uint(id) & 63) }
+
+// Len returns the number of members.
+func (b Bits) Len() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
 	}
-	out := make(NodeSet)
-	for id := range small {
-		if big[id] {
-			out[id] = true
+	return n
+}
+
+// Members returns the members in ascending ID order.
+func (b Bits) Members() []NodeID {
+	out := make([]NodeID, 0, b.Len())
+	for i, w := range b {
+		for w != 0 {
+			out = append(out, NodeID(i<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
 	return out
 }
 
-// TransitiveFanin returns the set of nodes from which root is reachable via
-// dataflow edges. The root itself is included. Input and constant nodes are
-// included; callers filter as needed. The result is memoized and shared
-// across calls (and across Clones made after it was computed): treat it as
-// strictly read-only — mutating it would corrupt the cache and race with
-// concurrent sweep workers reading the same set.
-func (g *Graph) TransitiveFanin(root NodeID) NodeSet {
+// FaninBits returns the set of nodes from which root is reachable via
+// dataflow edges, root included, as a dense bitset. Input and constant
+// nodes are included; callers filter as needed. The result is memoized
+// and shared across calls (and across Clones made after it was computed):
+// treat it as strictly read-only — mutating it would corrupt the cache and
+// race with concurrent sweep workers reading the same set.
+func (g *Graph) FaninBits(root NodeID) Bits {
 	return g.faninMemo(root)
+}
+
+// TransitiveFanin returns FaninBits(root) as a fresh NodeSet the caller
+// may modify.
+func (g *Graph) TransitiveFanin(root NodeID) NodeSet {
+	return NewNodeSet(g.FaninBits(root).Members()...)
 }
 
 // TransitiveFanout returns the set of nodes reachable from root via

@@ -3,6 +3,7 @@ package cdfg
 import (
 	"errors"
 	"fmt"
+	"maps"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense indices starting
@@ -239,7 +240,13 @@ type Graph struct {
 	// succs caches dataflow successors (derived from Args).
 	succs [][]NodeID
 
+	// controlEdges lists the control edges in insertion order; ctrlOut
+	// and ctrlIn index the same edges per node (targets of each source,
+	// sources of each target), each in insertion order. All three have
+	// an entry per node and change together.
 	controlEdges []ControlEdge
+	ctrlOut      [][]NodeID
+	ctrlIn       [][]NodeID
 
 	inputs  []NodeID
 	consts  []NodeID
@@ -305,6 +312,8 @@ func (g *Graph) add(n *Node) (NodeID, error) {
 	g.invalidateAnalyses()
 	g.nodes = append(g.nodes, n)
 	g.succs = append(g.succs, nil)
+	g.ctrlOut = append(g.ctrlOut, nil)
+	g.ctrlIn = append(g.ctrlIn, nil)
 	g.byName[n.Name] = n.ID
 	for _, a := range n.Args {
 		g.succs[a] = append(g.succs[a], n.ID)
@@ -386,6 +395,8 @@ func (g *Graph) AddControlEdge(from, to NodeID) error {
 	}
 	g.invalidateSchedDeps()
 	g.controlEdges = append(g.controlEdges, ControlEdge{From: from, To: to})
+	g.ctrlOut[from] = append(g.ctrlOut[from], to)
+	g.ctrlIn[to] = append(g.ctrlIn[to], from)
 	return nil
 }
 
@@ -393,38 +404,64 @@ func (g *Graph) AddControlEdge(from, to NodeID) error {
 // treat it as read-only.
 func (g *Graph) ControlEdges() []ControlEdge { return g.controlEdges }
 
-// ClearControlEdges removes all control edges (used when re-running the
-// power management pass with a different configuration).
-func (g *Graph) ClearControlEdges() {
-	if g.controlEdges == nil {
+// ControlSuccs returns the targets of the control edges leaving id, in
+// insertion order. The slice is shared; treat it as read-only.
+func (g *Graph) ControlSuccs(id NodeID) []NodeID { return g.ctrlOut[id] }
+
+// ControlPreds returns the sources of the control edges entering id, in
+// insertion order. The slice is shared; treat it as read-only.
+func (g *Graph) ControlPreds(id NodeID) []NodeID { return g.ctrlIn[id] }
+
+// HasControlEdge reports whether a control edge from -> to exists. It scans
+// only from's outgoing control edges.
+func (g *Graph) HasControlEdge(from, to NodeID) bool {
+	for _, t := range g.ctrlOut[from] {
+		if t == to {
+			return true
+		}
+	}
+	return false
+}
+
+// TruncateControlEdges removes every control edge after the first n, in
+// O(removed): edges leave the per-node lists in reverse insertion order,
+// so each removed edge is the last entry of both of its lists. It panics
+// if n is negative or exceeds the edge count.
+func (g *Graph) TruncateControlEdges(n int) {
+	if n < 0 || n > len(g.controlEdges) {
+		panic(fmt.Sprintf("cdfg: truncate to %d control edges, have %d", n, len(g.controlEdges)))
+	}
+	if n == len(g.controlEdges) {
 		return
 	}
 	g.invalidateSchedDeps()
-	g.controlEdges = nil
+	for i := len(g.controlEdges) - 1; i >= n; i-- {
+		e := g.controlEdges[i]
+		g.ctrlOut[e.From] = g.ctrlOut[e.From][:len(g.ctrlOut[e.From])-1]
+		g.ctrlIn[e.To] = g.ctrlIn[e.To][:len(g.ctrlIn[e.To])-1]
+	}
+	g.controlEdges = g.controlEdges[:n]
 }
 
+// ClearControlEdges removes all control edges (used when re-running the
+// power management pass with a different configuration).
+func (g *Graph) ClearControlEdges() { g.TruncateControlEdges(0) }
+
 // SchedSuccs returns the scheduling successors of id: dataflow successors
-// plus control-edge targets. A fresh slice is returned.
+// plus control-edge targets. A fresh slice is returned; hot loops walk
+// Succs and ControlSuccs instead.
 func (g *Graph) SchedSuccs(id NodeID) []NodeID {
-	out := append([]NodeID(nil), g.succs[id]...)
-	for _, e := range g.controlEdges {
-		if e.From == id {
-			out = append(out, e.To)
-		}
-	}
-	return out
+	out := make([]NodeID, 0, len(g.succs[id])+len(g.ctrlOut[id]))
+	return append(append(out, g.succs[id]...), g.ctrlOut[id]...)
 }
 
 // SchedPreds returns the scheduling predecessors of id: dataflow arguments
-// plus control-edge sources. A fresh slice is returned.
+// plus control-edge sources. A fresh slice is returned; hot loops walk
+// Preds and ControlPreds instead.
 func (g *Graph) SchedPreds(id NodeID) []NodeID {
-	out := append([]NodeID(nil), g.nodes[id].Args...)
-	for _, e := range g.controlEdges {
-		if e.To == id {
-			out = append(out, e.From)
-		}
-	}
-	return out
+	args := g.nodes[id].Args
+	out := make([]NodeID, 0, len(args)+len(g.ctrlIn[id]))
+	return append(append(out, args...), g.ctrlIn[id]...)
 }
 
 // Validate checks structural sanity: correct arities (enforced at build
@@ -500,20 +537,15 @@ func (h *nodeMinHeap) pop() NodeID {
 	return top
 }
 
+// ErrCycle reports a cycle in the scheduling graph (data + control edges).
+var ErrCycle = errors.New("cdfg: graph contains a cycle")
+
 // computeTopoOrder does the work behind TopoOrder on a memo miss.
 func (g *Graph) computeTopoOrder() ([]NodeID, error) {
 	n := len(g.nodes)
 	indeg := make([]int, n)
-	var extraSuccs map[NodeID][]NodeID
-	if len(g.controlEdges) > 0 {
-		extraSuccs = make(map[NodeID][]NodeID, len(g.controlEdges))
-		for _, e := range g.controlEdges {
-			indeg[e.To]++
-			extraSuccs[e.From] = append(extraSuccs[e.From], e.To)
-		}
-	}
 	for _, nd := range g.nodes {
-		indeg[nd.ID] += len(nd.Args)
+		indeg[nd.ID] = len(nd.Args) + len(g.ctrlIn[nd.ID])
 	}
 	// Deterministic order: process ready nodes in ID order.
 	heap := make(nodeMinHeap, 0, n)
@@ -532,7 +564,7 @@ func (g *Graph) computeTopoOrder() ([]NodeID, error) {
 				heap.push(s)
 			}
 		}
-		for _, s := range extraSuccs[id] {
+		for _, s := range g.ctrlOut[id] {
 			indeg[s]--
 			if indeg[s] == 0 {
 				heap.push(s)
@@ -540,33 +572,52 @@ func (g *Graph) computeTopoOrder() ([]NodeID, error) {
 		}
 	}
 	if len(order) != n {
-		return nil, errors.New("cdfg: graph contains a cycle")
+		return nil, ErrCycle
 	}
 	return order, nil
 }
 
 // Clone returns a deep copy of the graph, including control edges.
 func (g *Graph) Clone() *Graph {
+	n := len(g.nodes)
 	ng := &Graph{
 		Name:         g.Name,
-		nodes:        make([]*Node, len(g.nodes)),
-		byName:       make(map[string]NodeID, len(g.byName)),
-		succs:        make([][]NodeID, len(g.succs)),
+		nodes:        make([]*Node, n),
+		byName:       maps.Clone(g.byName),
+		succs:        make([][]NodeID, n),
 		controlEdges: append([]ControlEdge(nil), g.controlEdges...),
+		ctrlOut:      make([][]NodeID, n),
+		ctrlIn:       make([][]NodeID, n),
 		inputs:       append([]NodeID(nil), g.inputs...),
 		consts:       append([]NodeID(nil), g.consts...),
 		outputs:      append([]NodeID(nil), g.outputs...),
 	}
-	for i, n := range g.nodes {
-		cp := *n
-		cp.Args = append([]NodeID(nil), n.Args...)
-		ng.nodes[i] = &cp
+	// The nodes, and their argument and successor lists, are copied into
+	// one slab each. Every list is capped at its length, so a later append
+	// to one reallocates it instead of overwriting its neighbor.
+	nodes := make([]Node, n)
+	arcs := 0
+	for _, nd := range g.nodes {
+		arcs += len(nd.Args)
 	}
-	for name, id := range g.byName {
-		ng.byName[name] = id
+	slab := make([]NodeID, 0, 2*arcs) // every argument is also a successor entry
+	take := func(ids []NodeID) []NodeID {
+		if len(ids) == 0 {
+			return nil
+		}
+		start := len(slab)
+		slab = append(slab, ids...)
+		return slab[start:len(slab):len(slab)]
 	}
-	for i, s := range g.succs {
-		ng.succs[i] = append([]NodeID(nil), s...)
+	for i, nd := range g.nodes {
+		nodes[i] = *nd
+		nodes[i].Args = take(nd.Args)
+		ng.nodes[i] = &nodes[i]
+		ng.succs[i] = take(g.succs[i])
+	}
+	for _, e := range ng.controlEdges {
+		ng.ctrlOut[e.From] = append(ng.ctrlOut[e.From], e.To)
+		ng.ctrlIn[e.To] = append(ng.ctrlIn[e.To], e.From)
 	}
 	g.shareAnalyses(ng)
 	return ng

@@ -454,10 +454,6 @@ func TestNodeSetOps(t *testing.T) {
 	if len(sorted) != 3 || sorted[0] != 1 || sorted[2] != 3 {
 		t.Errorf("Sorted = %v", sorted)
 	}
-	inter := s.Intersect(NewNodeSet(2, 3, 9))
-	if len(inter) != 2 || !inter.Contains(2) || !inter.Contains(3) {
-		t.Errorf("Intersect = %v", inter)
-	}
 	var nilSet NodeSet
 	if nilSet.Contains(0) {
 		t.Error("nil set should contain nothing")

@@ -22,7 +22,7 @@ import (
 // worker's clones share the entries that were warm at clone time.
 type analysisMemo struct {
 	mu       sync.Mutex
-	fanin    map[NodeID]NodeSet
+	fanin    map[NodeID]Bits
 	depth    []int
 	height   []int
 	critOK   bool
@@ -66,7 +66,7 @@ func (g *Graph) shareAnalyses(ng *Graph) {
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
 	if g.memo.fanin != nil {
-		ng.memo.fanin = make(map[NodeID]NodeSet, len(g.memo.fanin))
+		ng.memo.fanin = make(map[NodeID]Bits, len(g.memo.fanin))
 		for id, s := range g.memo.fanin {
 			ng.memo.fanin[id] = s
 		}
@@ -91,34 +91,34 @@ func (g *Graph) PrewarmAnalyses() {
 	_, _ = g.TopoOrder()
 	for _, m := range g.Muxes() {
 		for _, a := range g.Node(m).Args {
-			g.TransitiveFanin(a)
+			g.FaninBits(a)
 		}
 	}
 }
 
-// fanin returns the cached fanin cone for root, computing it on a miss.
-func (g *Graph) faninMemo(root NodeID) NodeSet {
+// faninMemo returns the cached fanin cone for root, computing it on a miss.
+// Arguments have smaller IDs than their consumers, so one pass in
+// descending ID order from root closes the cone.
+func (g *Graph) faninMemo(root NodeID) Bits {
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
 	if s, ok := g.memo.fanin[root]; ok {
 		return s
 	}
-	seen := make(NodeSet)
-	stack := []NodeID{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
+	cone := NewBits(len(g.nodes))
+	cone.Add(root)
+	for id := root; id >= 0; id-- {
+		if cone.Has(id) {
+			for _, a := range g.nodes[id].Args {
+				cone.Add(a)
+			}
 		}
-		seen[id] = true
-		stack = append(stack, g.nodes[id].Args...)
 	}
 	if g.memo.fanin == nil {
-		g.memo.fanin = make(map[NodeID]NodeSet)
+		g.memo.fanin = make(map[NodeID]Bits)
 	}
-	g.memo.fanin[root] = seen
-	return seen
+	g.memo.fanin[root] = cone
+	return cone
 }
 
 // depthMemo returns the cached ASAP depth slice, computing it on a miss.

@@ -16,7 +16,8 @@
 //  2. for each multiplexor (outputs first), annotate the transitive fanin
 //     cones of its select and data inputs, derive the maximal gateable sets,
 //     tentatively serialize control-before-data, and commit the mux if every
-//     node still satisfies ASAP <= ALAP;
+//     node still satisfies ASAP <= ALAP (the window is updated incrementally
+//     and a rejected mux is rolled back, see sched.Incremental);
 //  3. insert control edges from the select driver to the top nodes of each
 //     committed gated cone;
 //  4. hand the augmented graph to the HYPER-substitute list scheduler

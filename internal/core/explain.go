@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/cdfg"
-	"repro/internal/sched"
 )
 
 // MuxVerdict classifies the outcome of the power management attempt on one
@@ -49,74 +48,43 @@ type MuxReport struct {
 	Detail string
 }
 
-// Explain runs the selection loop of the power management pass in
-// reporting mode: for every multiplexor (in the configured order) it
-// states whether it was managed and, if not, why — the diagnostic a
-// designer needs to decide between relaxing the throughput constraint and
-// restructuring the behavior (paper §IV).
+// Explain reports the selection loop of the power management pass: for
+// every multiplexor, in the first candidate order, whether the pass managed
+// it and, if not, why — the diagnostic a designer needs to decide between
+// relaxing the throughput constraint and restructuring the behavior (paper
+// §IV). It formats the verdicts the pass itself records.
 func Explain(g *cdfg.Graph, cfg Config) ([]MuxReport, error) {
 	if cfg.Budget < 1 {
 		return nil, fmt.Errorf("core: budget %d must be positive", cfg.Budget)
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	work := g.Clone()
-	w, err := sched.AnalyzeWindow(work, cfg.Budget)
+	gt, orders, err := prepare(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if !w.Feasible() {
-		return nil, fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
-	}
-	orders, err := candidateOrders(work, cfg)
+	pr, err := runPass(g.Clone(), cfg.Budget, gt, orders[0])
 	if err != nil {
 		return nil, err
 	}
-	order := orders[0]
-
-	var reports []MuxReport
-	for _, m := range order {
-		gs := computeGatedSets(work, m)
+	reports := make([]MuxReport, 0, len(pr.outcomes))
+	for _, o := range pr.outcomes {
+		mg := gt.of(o.mux)
 		rep := MuxReport{
-			Mux:        m,
-			GatedTrue:  gs.trueSet.Sorted(),
-			GatedFalse: gs.falseSet.Sorted(),
+			Mux:        o.mux,
+			Verdict:    o.verdict,
+			GatedTrue:  append([]cdfg.NodeID{}, mg.trueSet...),
+			GatedFalse: append([]cdfg.NodeID{}, mg.falseSet...),
 		}
-		if gs.empty() {
-			rep.Verdict = VerdictNothingToGate
-			rep.Detail = describeEmptyCones(work, m)
-			reports = append(reports, rep)
-			continue
+		sel := g.Node(mg.sel).Name
+		switch o.verdict {
+		case VerdictNothingToGate:
+			rep.Detail = describeEmptyCones(g, o.mux)
+		case VerdictNoSlack:
+			rep.Detail = fmt.Sprintf("scheduling %d gated ops after select %q needs more than %d steps",
+				rep.gatedCount(), sel, cfg.Budget)
+		case VerdictManaged:
+			rep.Detail = fmt.Sprintf("select %q computed first; %d ops shut down when unused",
+				sel, rep.gatedCount())
 		}
-		sel := work.Node(m).Args[cdfg.MuxSel]
-		before := len(work.ControlEdges())
-		for _, branch := range []cdfg.NodeSet{gs.trueSet, gs.falseSet} {
-			for _, top := range topsOf(work, branch) {
-				if hasControlEdge(work, sel, top) {
-					continue
-				}
-				if err := work.AddControlEdge(sel, top); err != nil {
-					return nil, err
-				}
-			}
-		}
-		w, err := sched.AnalyzeWindow(work, cfg.Budget)
-		if err != nil {
-			return nil, err
-		}
-		if !w.Feasible() {
-			truncateControlEdges(work, before)
-			rep.Verdict = VerdictNoSlack
-			rep.Detail = fmt.Sprintf(
-				"scheduling %d gated ops after select %q needs more than %d steps",
-				rep.gatedCount(), work.Node(sel).Name, cfg.Budget)
-			reports = append(reports, rep)
-			continue
-		}
-		rep.Verdict = VerdictManaged
-		rep.Detail = fmt.Sprintf("select %q computed first; %d ops shut down when unused",
-			work.Node(sel).Name, rep.gatedCount())
 		reports = append(reports, rep)
 	}
 	return reports, nil
@@ -127,40 +95,29 @@ func (r MuxReport) gatedCount() int { return len(r.GatedTrue) + len(r.GatedFalse
 // describeEmptyCones explains which exclusion emptied the gated sets.
 func describeEmptyCones(g *cdfg.Graph, m cdfg.NodeID) string {
 	mux := g.Node(m)
-	coneSel := g.TransitiveFanin(mux.Args[cdfg.MuxSel])
-	coneT := g.TransitiveFanin(mux.Args[cdfg.MuxTrue])
-	coneF := g.TransitiveFanin(mux.Args[cdfg.MuxFalse])
-	var reasons []string
-	opsIn := func(cone cdfg.NodeSet) int {
-		n := 0
-		for id := range cone {
-			if id != m && g.Node(id).IsOp() {
-				n++
+	coneSel := g.FaninBits(mux.Args[cdfg.MuxSel])
+	coneT := g.FaninBits(mux.Args[cdfg.MuxTrue])
+	coneF := g.FaninBits(mux.Args[cdfg.MuxFalse])
+	// count returns the number of operations other than m for which in
+	// holds.
+	count := func(in func(id cdfg.NodeID) bool) int {
+		k := 0
+		for _, n := range g.Nodes() {
+			if n.ID != m && n.IsOp() && in(n.ID) {
+				k++
 			}
 		}
-		return n
+		return k
 	}
-	if opsIn(coneT) == 0 && opsIn(coneF) == 0 {
+	if count(func(id cdfg.NodeID) bool { return coneT.Has(id) || coneF.Has(id) }) == 0 {
 		return "both data inputs are primary values or constants"
 	}
-	shared := coneT.Intersect(coneF)
-	sharedOps := 0
-	for id := range shared {
-		if g.Node(id).IsOp() {
-			sharedOps++
-		}
+	var reasons []string
+	if k := count(func(id cdfg.NodeID) bool { return coneT.Has(id) && coneF.Has(id) }); k > 0 {
+		reasons = append(reasons, fmt.Sprintf("%d ops feed both branches", k))
 	}
-	if sharedOps > 0 {
-		reasons = append(reasons, fmt.Sprintf("%d ops feed both branches", sharedOps))
-	}
-	ctrlShared := 0
-	for id := range coneSel {
-		if g.Node(id).IsOp() && (coneT.Contains(id) || coneF.Contains(id)) {
-			ctrlShared++
-		}
-	}
-	if ctrlShared > 0 {
-		reasons = append(reasons, fmt.Sprintf("%d ops also feed the select", ctrlShared))
+	if k := count(func(id cdfg.NodeID) bool { return coneSel.Has(id) && (coneT.Has(id) || coneF.Has(id)) }); k > 0 {
+		reasons = append(reasons, fmt.Sprintf("%d ops also feed the select", k))
 	}
 	if len(reasons) == 0 {
 		reasons = append(reasons, "every branch op has fanout escaping the cone")

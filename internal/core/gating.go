@@ -24,22 +24,20 @@ type BranchCandidate struct {
 // of one behavior regardless of inserted control edges.
 func BranchCandidates(g *cdfg.Graph) []BranchCandidate {
 	var out []BranchCandidate
-	for _, m := range g.Muxes() {
-		gs := computeGatedSets(g, m)
-		sel := g.Node(m).Args[cdfg.MuxSel]
-		if len(gs.trueSet) > 0 {
-			out = append(out, BranchCandidate{Mux: m, Sel: sel, WhenTrue: true, Members: gs.trueSet.Sorted()})
+	for _, mg := range analyzeGating(g) {
+		if len(mg.trueSet) > 0 {
+			out = append(out, BranchCandidate{Mux: mg.mux, Sel: mg.sel, WhenTrue: true, Members: mg.trueSet})
 		}
-		if len(gs.falseSet) > 0 {
-			out = append(out, BranchCandidate{Mux: m, Sel: sel, WhenTrue: false, Members: gs.falseSet.Sorted()})
+		if len(mg.falseSet) > 0 {
+			out = append(out, BranchCandidate{Mux: mg.mux, Sel: mg.sel, WhenTrue: false, Members: mg.falseSet})
 		}
 	}
 	return out
 }
 
 // GatedTops returns the members of set with no gated predecessor (looking
-// through transparent wires): the nodes that receive serializing control
-// edges from the select driver.
+// through transparent wires), in ascending ID order: the nodes that receive
+// serializing control edges from the select driver.
 func GatedTops(g *cdfg.Graph, set cdfg.NodeSet) []cdfg.NodeID {
-	return topsOf(g, set)
+	return appendTops(g, nil, set.Sorted(), cdfg.NewBits(g.NumNodes()))
 }

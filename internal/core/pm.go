@@ -10,15 +10,27 @@ import (
 	"repro/internal/sim"
 )
 
-// gatedSets holds the per-branch gateable operation sets for one mux.
-type gatedSets struct {
-	trueSet, falseSet cdfg.NodeSet
+// muxGating is the dataflow part of the power management decision for one
+// mux: its gateable sets and the tops that receive the serializing control
+// edges. It depends only on dataflow edges, so a Schedule call derives it
+// once per mux and every candidate order reuses it.
+type muxGating struct {
+	mux, sel cdfg.NodeID
+	// trueSet and falseSet are the gated operations per branch, in
+	// ascending ID order. They are shared by every pass of one analysis:
+	// treat them as read-only.
+	trueSet, falseSet []cdfg.NodeID
+	// tops lists the true-branch tops, then the false-branch tops.
+	tops []cdfg.NodeID
 }
 
-func (gs gatedSets) empty() bool { return len(gs.trueSet) == 0 && len(gs.falseSet) == 0 }
+func (mg *muxGating) empty() bool { return len(mg.trueSet) == 0 && len(mg.falseSet) == 0 }
 
-// computeGatedSets derives the maximal gateable sets for mux m (paper
-// Fig. 3 step 3 plus the fanout exclusions of §III).
+// gating holds the muxGating of every mux of a graph, in ascending mux ID.
+type gating []muxGating
+
+// analyzeGating derives the maximal gateable sets of every mux (paper
+// Fig. 3 step 3 plus the fanout exclusions of §III) and their tops.
 //
 // A node is gateable on branch b when:
 //   - it lies in the transitive fanin of input b,
@@ -32,76 +44,83 @@ func (gs gatedSets) empty() bool { return len(gs.trueSet) == 0 && len(gs.falseSe
 //
 // Wire nodes (constant shifts) are transparent: they may sit between gated
 // operations, but are never members of the gated set themselves.
-func computeGatedSets(g *cdfg.Graph, m cdfg.NodeID) gatedSets {
-	mux := g.Node(m)
-	coneSel := g.TransitiveFanin(mux.Args[cdfg.MuxSel])
-	coneT := g.TransitiveFanin(mux.Args[cdfg.MuxTrue])
-	coneF := g.TransitiveFanin(mux.Args[cdfg.MuxFalse])
-	return gatedSets{
-		trueSet:  gateable(g, m, coneT, coneSel, coneF),
-		falseSet: gateable(g, m, coneF, coneSel, coneT),
-	}
-}
-
-// gateable computes the closed gated set for one branch cone. The closure
-// runs over ops and wires (wires are transparent carriers) and the final
-// result keeps ops only.
-func gateable(g *cdfg.Graph, m cdfg.NodeID, cone, coneSel, coneOther cdfg.NodeSet) cdfg.NodeSet {
-	// Initial candidates: ops and wires exclusive to this branch cone.
-	cand := make(cdfg.NodeSet)
-	for id := range cone {
-		if id == m || coneSel.Contains(id) || coneOther.Contains(id) {
-			continue
-		}
-		n := g.Node(id)
-		if n.IsOp() || n.Class() == cdfg.ClassWire {
-			cand[id] = true
-		}
-	}
-	// Fixed point: drop any candidate with a dataflow successor outside
-	// cand ∪ {m}. (A successor equal to m is necessarily via this
-	// branch's data input: select and other-input cones were excluded.)
-	for changed := true; changed; {
-		changed = false
-		for id := range cand {
-			for _, s := range g.Succs(id) {
-				if s == m || cand.Contains(s) {
-					continue
-				}
-				delete(cand, id)
-				changed = true
-				break
-			}
-		}
-	}
-	// Keep operations only.
-	out := make(cdfg.NodeSet)
-	for id := range cand {
-		if g.Node(id).IsOp() {
-			out[id] = true
-		}
+func analyzeGating(g *cdfg.Graph) gating {
+	muxes := g.Muxes()
+	out := make(gating, len(muxes))
+	cand, set := cdfg.NewBits(g.NumNodes()), cdfg.NewBits(g.NumNodes())
+	for i, m := range muxes {
+		args := g.Node(m).Args
+		coneSel := g.FaninBits(args[cdfg.MuxSel])
+		coneT := g.FaninBits(args[cdfg.MuxTrue])
+		coneF := g.FaninBits(args[cdfg.MuxFalse])
+		mg := &out[i]
+		mg.mux, mg.sel = m, args[cdfg.MuxSel]
+		mg.trueSet = gateable(g, m, coneT, coneSel, coneF, cand)
+		mg.falseSet = gateable(g, m, coneF, coneSel, coneT, cand)
+		mg.tops = appendTops(g, mg.tops, mg.trueSet, set)
+		mg.tops = appendTops(g, mg.tops, mg.falseSet, set)
 	}
 	return out
 }
 
-// topsOf returns the gated operations with no gated (or wire-transparent
-// gated) predecessor: the "top nodes" that receive the control edges.
-func topsOf(g *cdfg.Graph, set cdfg.NodeSet) []cdfg.NodeID {
-	var tops []cdfg.NodeID
-	var reachesSet func(id cdfg.NodeID) bool
-	reachesSet = func(id cdfg.NodeID) bool {
-		if set.Contains(id) {
-			return true
+// of returns the gating of mux m.
+func (gt gating) of(m cdfg.NodeID) *muxGating {
+	i, _ := slices.BinarySearchFunc(gt, m, func(mg muxGating, m cdfg.NodeID) int { return cmp.Compare(mg.mux, m) })
+	return &gt[i]
+}
+
+// gateable computes the closed gated set for one branch cone, in ascending
+// ID order. The closure runs over ops and wires (wires are transparent
+// carriers) and the result keeps ops only. cand is an all-clear scratch set
+// sized to the graph; it is left clear.
+//
+// The closure drops any candidate with a dataflow successor outside the
+// kept candidates ∪ {m}. (A successor equal to m is necessarily via this
+// branch's data input: select and other-input cones were excluded.) Every
+// successor has a larger ID than its argument, so deciding candidates in
+// descending ID order sees each successor's final membership, and one pass
+// reaches the fixed point.
+func gateable(g *cdfg.Graph, m cdfg.NodeID, cone, coneSel, coneOther, cand cdfg.Bits) []cdfg.NodeID {
+	var ops []cdfg.NodeID
+	for id := m - 1; id >= 0; id-- {
+		if !cone.Has(id) || coneSel.Has(id) || coneOther.Has(id) {
+			continue
 		}
-		if g.Node(id).Class() == cdfg.ClassWire {
-			return reachesSet(g.Node(id).Args[0])
+		n := g.Node(id)
+		if !n.IsOp() && n.Class() != cdfg.ClassWire {
+			continue
 		}
-		return false
+		closed := true
+		for _, s := range g.Succs(id) {
+			if s != m && !cand.Has(s) {
+				closed = false
+				break
+			}
+		}
+		if closed {
+			cand.Add(id)
+			if n.IsOp() {
+				ops = append(ops, id)
+			}
+		}
 	}
-	for _, id := range set.Sorted() {
+	clear(cand)
+	slices.Reverse(ops)
+	return ops
+}
+
+// appendTops appends the members of the gated set with no gated (or
+// wire-transparent gated) predecessor: the "top nodes" that receive the
+// control edges. members is ascending; set is an all-clear scratch set
+// sized to the graph, left clear.
+func appendTops(g *cdfg.Graph, tops, members []cdfg.NodeID, set cdfg.Bits) []cdfg.NodeID {
+	for _, id := range members {
+		set.Add(id)
+	}
+	for _, id := range members {
 		isTop := true
 		for _, p := range g.Preds(id) {
-			if reachesSet(p) {
+			if reachesSet(g, p, set) {
 				isTop = false
 				break
 			}
@@ -110,7 +129,26 @@ func topsOf(g *cdfg.Graph, set cdfg.NodeSet) []cdfg.NodeID {
 			tops = append(tops, id)
 		}
 	}
+	clear(set)
 	return tops
+}
+
+// reachesSet reports whether id is in set or is a wire chain from a member.
+func reachesSet(g *cdfg.Graph, id cdfg.NodeID, set cdfg.Bits) bool {
+	for !set.Has(id) {
+		n := g.Node(id)
+		if n.Class() != cdfg.ClassWire {
+			return false
+		}
+		id = n.Args[0]
+	}
+	return true
+}
+
+// muxOutcome records the verdict of the pass on one mux.
+type muxOutcome struct {
+	mux     cdfg.NodeID
+	verdict MuxVerdict
 }
 
 // passResult is the outcome of one annotate-and-commit sweep over the
@@ -119,56 +157,81 @@ type passResult struct {
 	graph   *cdfg.Graph
 	managed []ManagedMux
 	guards  sim.Guards
+	// outcomes holds one verdict per mux, in processing order.
+	outcomes []muxOutcome
+}
+
+// pass is an annotate-and-commit sweep in progress.
+type pass struct {
+	passResult
+	win *sched.Incremental
+}
+
+// newPass starts a pass over work (a private clone, mutated as control
+// edges are added) for n muxes.
+func newPass(work *cdfg.Graph, budget, n int) (*pass, error) {
+	win, err := sched.NewIncremental(work, budget)
+	if err != nil {
+		return nil, err
+	}
+	return &pass{
+		passResult: passResult{graph: work, guards: make(sim.Guards), outcomes: make([]muxOutcome, 0, n)},
+		win:        win,
+	}, nil
+}
+
+// step executes Fig. 3 steps 4-10 for one mux: tentatively serialize the
+// select driver before every gated top, and commit the mux if the budget
+// still holds.
+func (p *pass) step(mg *muxGating) error {
+	verdict := VerdictNothingToGate
+	if !mg.empty() {
+		ok, err := p.win.Serialize(mg.sel, mg.tops)
+		if err != nil {
+			return err
+		}
+		// Paper step 7: a rejected mux was reverted; no PM for it at
+		// this throughput.
+		verdict = VerdictNoSlack
+		if ok {
+			verdict = VerdictManaged
+			p.commit(mg)
+		}
+	}
+	p.outcomes = append(p.outcomes, muxOutcome{mux: mg.mux, verdict: verdict})
+	return nil
+}
+
+// commit records mg as power managed.
+func (p *pass) commit(mg *muxGating) {
+	p.managed = append(p.managed, ManagedMux{
+		Mux:        mg.mux,
+		Sel:        mg.sel,
+		GatedTrue:  mg.trueSet,
+		GatedFalse: mg.falseSet,
+	})
+	for _, id := range mg.trueSet {
+		addGuard(p.guards, id, sim.Guard{Sel: mg.sel, WhenTrue: true})
+	}
+	for _, id := range mg.falseSet {
+		addGuard(p.guards, id, sim.Guard{Sel: mg.sel, WhenTrue: false})
+	}
 }
 
 // runPass executes Fig. 3 steps 2-10 over the muxes of work (a private
 // clone) in the given order, committing each mux whose serialization keeps
 // the budget feasible. The input graph is mutated (control edges added).
-func runPass(work *cdfg.Graph, budget int, order []cdfg.NodeID) (passResult, error) {
-	res := passResult{graph: work, guards: make(sim.Guards)}
+func runPass(work *cdfg.Graph, budget int, gt gating, order []cdfg.NodeID) (passResult, error) {
+	p, err := newPass(work, budget, len(order))
+	if err != nil {
+		return passResult{}, err
+	}
 	for _, m := range order {
-		gs := computeGatedSets(work, m)
-		if gs.empty() {
-			continue // nothing to shut down; not counted as managed
-		}
-		sel := work.Node(m).Args[cdfg.MuxSel]
-		// Tentatively serialize: select driver before every gated top.
-		before := len(work.ControlEdges())
-		for _, branch := range []cdfg.NodeSet{gs.trueSet, gs.falseSet} {
-			for _, top := range topsOf(work, branch) {
-				if hasControlEdge(work, sel, top) {
-					continue
-				}
-				if err := work.AddControlEdge(sel, top); err != nil {
-					return passResult{}, err
-				}
-			}
-		}
-		w, err := sched.AnalyzeWindow(work, budget)
-		if err != nil {
+		if err := p.step(gt.of(m)); err != nil {
 			return passResult{}, err
 		}
-		if !w.Feasible() {
-			// Paper step 7: revert; no PM for this mux at this
-			// throughput.
-			truncateControlEdges(work, before)
-			continue
-		}
-		mm := ManagedMux{
-			Mux:        m,
-			Sel:        sel,
-			GatedTrue:  gs.trueSet.Sorted(),
-			GatedFalse: gs.falseSet.Sorted(),
-		}
-		res.managed = append(res.managed, mm)
-		for _, id := range mm.GatedTrue {
-			addGuard(res.guards, id, sim.Guard{Sel: sel, WhenTrue: true})
-		}
-		for _, id := range mm.GatedFalse {
-			addGuard(res.guards, id, sim.Guard{Sel: sel, WhenTrue: false})
-		}
 	}
-	return res, nil
+	return p.passResult, nil
 }
 
 // addGuard appends a guard unless an identical one is already present: two
@@ -181,29 +244,6 @@ func addGuard(gs sim.Guards, id cdfg.NodeID, gd sim.Guard) {
 		}
 	}
 	gs[id] = append(gs[id], gd)
-}
-
-func hasControlEdge(g *cdfg.Graph, from, to cdfg.NodeID) bool {
-	for _, e := range g.ControlEdges() {
-		if e.From == from && e.To == to {
-			return true
-		}
-	}
-	return false
-}
-
-// truncateControlEdges removes control edges added after position n by
-// rebuilding the edge list. cdfg exposes no removal primitive, so the
-// revert clears and re-adds the prefix.
-func truncateControlEdges(g *cdfg.Graph, n int) {
-	edges := append([]cdfg.ControlEdge(nil), g.ControlEdges()[:n]...)
-	g.ClearControlEdges()
-	for _, e := range edges {
-		// Re-adding known-good edges cannot fail.
-		if err := g.AddControlEdge(e.From, e.To); err != nil {
-			panic(fmt.Sprintf("core: revert failed: %v", err))
-		}
-	}
 }
 
 // savingsMetric scores a pass outcome: the expected weighted activity saved
@@ -237,20 +277,7 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	if ii < 1 || ii > cfg.Budget {
 		return nil, fmt.Errorf("core: initiation interval %d outside [1,%d]", ii, cfg.Budget)
 	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	// Budget feasibility before any PM constraint.
-	base := g.Clone()
-	w, err := sched.AnalyzeWindow(base, cfg.Budget)
-	if err != nil {
-		return nil, err
-	}
-	if !w.Feasible() {
-		return nil, fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
-	}
-
-	orders, err := candidateOrders(base, cfg)
+	gt, orders, err := prepare(g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +286,7 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	bestScore := -1.0
 	for _, order := range orders {
 		work := g.Clone()
-		pr, err := runPass(work, cfg.Budget, order)
+		pr, err := runPass(work, cfg.Budget, gt, order)
 		if err != nil {
 			return nil, err
 		}
@@ -303,10 +330,33 @@ func Schedule(g *cdfg.Graph, cfg Config) (*Result, error) {
 	}, nil
 }
 
+// prepare does the checks and analyses a power management pass needs: the
+// graph is valid, the budget is at least the critical path, the gating of
+// every mux, and the candidate mux orders.
+func prepare(g *cdfg.Graph, cfg Config) (gating, [][]cdfg.NodeID, error) {
+	if err := g.Validate(); err != nil {
+		return nil, nil, err
+	}
+	// Budget feasibility before any PM constraint.
+	w, err := sched.AnalyzeWindow(g, cfg.Budget)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !w.Feasible() {
+		return nil, nil, fmt.Errorf("core: budget %d below the critical path", cfg.Budget)
+	}
+	gt := analyzeGating(g)
+	orders, err := candidateOrders(g, cfg, gt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return gt, orders, nil
+}
+
 // candidateOrders produces the mux processing order(s) for the configured
 // strategy. OrderExhaustive returns every permutation when the mux count
 // permits, otherwise the greedy order only.
-func candidateOrders(g *cdfg.Graph, cfg Config) ([][]cdfg.NodeID, error) {
+func candidateOrders(g *cdfg.Graph, cfg Config, gt gating) ([][]cdfg.NodeID, error) {
 	muxes := g.Muxes()
 	if len(muxes) == 0 {
 		return [][]cdfg.NodeID{nil}, nil
@@ -334,10 +384,10 @@ func candidateOrders(g *cdfg.Graph, cfg Config) ([][]cdfg.NodeID, error) {
 	case OrderInputsFirst:
 		return [][]cdfg.NodeID{byHeight(false)}, nil
 	case OrderGreedyWeight:
-		return [][]cdfg.NodeID{greedyWeightOrder(g, muxes, cfg.Weights)}, nil
+		return [][]cdfg.NodeID{greedyWeightOrder(g, gt, cfg.Weights)}, nil
 	case OrderExhaustive:
 		if len(muxes) > exhaustiveLimit {
-			return [][]cdfg.NodeID{greedyWeightOrder(g, muxes, cfg.Weights)}, nil
+			return [][]cdfg.NodeID{greedyWeightOrder(g, gt, cfg.Weights)}, nil
 		}
 		return permutations(muxes), nil
 	default:
@@ -347,15 +397,15 @@ func candidateOrders(g *cdfg.Graph, cfg Config) ([][]cdfg.NodeID, error) {
 
 // greedyWeightOrder sorts muxes by decreasing gateable-cone weight, the
 // §IV.A pre-processing heuristic. Ties fall back to outputs-first.
-func greedyWeightOrder(g *cdfg.Graph, muxes []cdfg.NodeID, weights map[cdfg.Class]float64) []cdfg.NodeID {
+func greedyWeightOrder(g *cdfg.Graph, gt gating, weights map[cdfg.Class]float64) []cdfg.NodeID {
 	height, err := g.HeightToOutput()
 	if err != nil {
 		// Callers validated the graph; unreachable in practice.
 		height = make([]int, g.NumNodes())
 	}
-	weightOf := func(set cdfg.NodeSet) float64 {
+	weightOf := func(set []cdfg.NodeID) float64 {
 		total := 0.0
-		for id := range set {
+		for _, id := range set {
 			w := 1.0
 			if weights != nil {
 				if cw, ok := weights[g.Node(id).Class()]; ok {
@@ -366,12 +416,13 @@ func greedyWeightOrder(g *cdfg.Graph, muxes []cdfg.NodeID, weights map[cdfg.Clas
 		}
 		return total
 	}
-	score := make(map[cdfg.NodeID]float64, len(muxes))
-	for _, m := range muxes {
-		gs := computeGatedSets(g, m)
-		score[m] = weightOf(gs.trueSet) + weightOf(gs.falseSet)
+	score := make(map[cdfg.NodeID]float64, len(gt))
+	out := make([]cdfg.NodeID, len(gt))
+	for i := range gt {
+		mg := &gt[i]
+		score[mg.mux] = weightOf(mg.trueSet) + weightOf(mg.falseSet)
+		out[i] = mg.mux
 	}
-	out := append([]cdfg.NodeID(nil), muxes...)
 	slices.SortStableFunc(out, func(a, b cdfg.NodeID) int {
 		if score[a] != score[b] {
 			return cmp.Compare(score[b], score[a])

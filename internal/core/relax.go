@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cdfg"
 	"repro/internal/sched"
@@ -58,14 +59,10 @@ func ungate(pr *passResult, op cdfg.NodeID) {
 	}
 }
 
+// removeID returns ids without id. It never writes to ids: gated sets are
+// shared with the pass's gating analysis.
 func removeID(ids []cdfg.NodeID, id cdfg.NodeID) []cdfg.NodeID {
-	out := ids[:0]
-	for _, x := range ids {
-		if x != id {
-			out = append(out, x)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(ids), func(x cdfg.NodeID) bool { return x == id })
 }
 
 // rebuildControlEdges recomputes the pass's control edges from the current
@@ -79,11 +76,11 @@ func rebuildControlEdges(pr *passResult, userEdges []cdfg.ControlEdge) error {
 			return err
 		}
 	}
+	set := cdfg.NewBits(g.NumNodes())
 	for _, m := range pr.managed {
 		for _, branch := range [][]cdfg.NodeID{m.GatedTrue, m.GatedFalse} {
-			set := cdfg.NewNodeSet(branch...)
-			for _, top := range topsOf(g, set) {
-				if hasControlEdge(g, m.Sel, top) {
+			for _, top := range appendTops(g, nil, branch, set) {
+				if g.HasControlEdge(m.Sel, top) {
 					continue
 				}
 				if err := g.AddControlEdge(m.Sel, top); err != nil {

@@ -841,7 +841,7 @@ func (s *solver) assemble() (*Result, error) {
 			continue
 		}
 		for _, top := range core.GatedTops(clone, set) {
-			if hasControlEdge(clone, cs.cand.Sel, top) {
+			if clone.HasControlEdge(cs.cand.Sel, top) {
 				continue
 			}
 			if err := clone.AddControlEdge(cs.cand.Sel, top); err != nil {
@@ -885,15 +885,6 @@ func (s *solver) assemble() (*Result, error) {
 		res.Resources = schedule.Usage()
 	}
 	return &res, nil
-}
-
-func hasControlEdge(g *cdfg.Graph, from, to cdfg.NodeID) bool {
-	for _, e := range g.ControlEdges() {
-		if e.From == from && e.To == to {
-			return true
-		}
-	}
-	return false
 }
 
 func cloneInts(v []int) []int {

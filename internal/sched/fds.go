@@ -39,9 +39,11 @@ func ForceDirected(g *cdfg.Graph, budget int) (*Schedule, error) {
 		for _, id := range order {
 			nd := g.Node(id)
 			ready := 0
-			for _, p := range g.SchedPreds(id) {
-				if asap[p] > ready {
-					ready = asap[p]
+			for _, preds := range [2][]cdfg.NodeID{nd.Args, g.ControlPreds(id)} {
+				for _, p := range preds {
+					if asap[p] > ready {
+						ready = asap[p]
+					}
 				}
 			}
 			t := ready + nd.Latency()
@@ -57,10 +59,11 @@ func ForceDirected(g *cdfg.Graph, budget int) (*Schedule, error) {
 		for i := len(order) - 1; i >= 0; i-- {
 			id := order[i]
 			limit := budget
-			for _, s := range g.SchedSuccs(id) {
-				cand := alap[s] - g.Node(s).Latency()
-				if cand < limit {
-					limit = cand
+			for _, succs := range [2][]cdfg.NodeID{g.Succs(id), g.ControlSuccs(id)} {
+				for _, s := range succs {
+					if cand := alap[s] - g.Node(s).Latency(); cand < limit {
+						limit = cand
+					}
 				}
 			}
 			if limit > upper[id] {
@@ -130,29 +133,33 @@ func ForceDirected(g *cdfg.Graph, budget int) (*Schedule, error) {
 				// First-order neighbor forces: committing id
 				// to t clips direct successors' frames to
 				// [t+1, ...] and predecessors' to [..., t-1].
-				for _, s := range g.SchedSuccs(id) {
-					sn := g.Node(s)
-					if !sn.IsOp() || fixed[s] {
-						continue
+				for _, succs := range [2][]cdfg.NodeID{g.Succs(id), g.ControlSuccs(id)} {
+					for _, s := range succs {
+						sn := g.Node(s)
+						if !sn.IsOp() || fixed[s] {
+							continue
+						}
+						lo := asap[s]
+						if t+1 > lo {
+							lo = t + 1
+						}
+						force += meanDG(sn.Class(), lo, alap[s]) -
+							meanDG(sn.Class(), asap[s], alap[s])
 					}
-					lo := asap[s]
-					if t+1 > lo {
-						lo = t + 1
-					}
-					force += meanDG(sn.Class(), lo, alap[s]) -
-						meanDG(sn.Class(), asap[s], alap[s])
 				}
-				for _, p := range g.SchedPreds(id) {
-					pn := g.Node(p)
-					if !pn.IsOp() || fixed[p] {
-						continue
+				for _, preds := range [2][]cdfg.NodeID{g.Preds(id), g.ControlPreds(id)} {
+					for _, p := range preds {
+						pn := g.Node(p)
+						if !pn.IsOp() || fixed[p] {
+							continue
+						}
+						hi := alap[p]
+						if t-1 < hi {
+							hi = t - 1
+						}
+						force += meanDG(pn.Class(), asap[p], hi) -
+							meanDG(pn.Class(), asap[p], alap[p])
 					}
-					hi := alap[p]
-					if t-1 < hi {
-						hi = t - 1
-					}
-					force += meanDG(pn.Class(), asap[p], hi) -
-						meanDG(pn.Class(), asap[p], alap[p])
 				}
 				if force < bestForce-1e-12 ||
 					(math.Abs(force-bestForce) <= 1e-12 && (id < bestOp || (id == bestOp && t < bestStep))) {

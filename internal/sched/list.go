@@ -38,6 +38,36 @@ func (e *InfeasibleError) Error() string {
 // each class executing in the same modulo-ii slot; classes absent from res
 // are unlimited.
 func List(g *cdfg.Graph, budget, ii int, res Resources) (*Schedule, error) {
+	l, err := newLister(g, budget, ii)
+	if err != nil {
+		return nil, err
+	}
+	return l.run(res)
+}
+
+// readyOp is an operation whose scheduling predecessors have all settled.
+type readyOp struct {
+	id    cdfg.NodeID
+	ready int // earliest step it may execute
+}
+
+// lister holds what list scheduling needs across runs over one graph and
+// budget: the ALAP priorities and scratch buffers. Minimize runs it once
+// per candidate resource bag.
+type lister struct {
+	g          *cdfg.Graph
+	budget, ii int
+	alap       Times
+	totalOps   int
+
+	time    Times
+	pending []int // unsettled scheduling predecessors
+	ready   []readyOp
+	spare   []readyOp
+	slotUse [][cdfg.NumClasses]int
+}
+
+func newLister(g *cdfg.Graph, budget, ii int) (*lister, error) {
 	if budget < 1 {
 		return nil, &InfeasibleError{Budget: budget, Reason: "budget must be at least 1"}
 	}
@@ -51,109 +81,105 @@ func List(g *cdfg.Graph, budget, ii int, res Resources) (*Schedule, error) {
 	if !w.Feasible() {
 		return nil, &InfeasibleError{Budget: budget, Reason: "critical path exceeds budget"}
 	}
-
-	n := g.NumNodes()
-	time := make(Times, n)
-	done := make([]bool, n)
-	pending := make([]int, n) // unscheduled sched-preds
+	l := &lister{
+		g: g, budget: budget, ii: ii, alap: w.ALAP,
+		pending: make([]int, g.NumNodes()),
+		slotUse: make([][cdfg.NumClasses]int, ii),
+	}
 	for _, nd := range g.Nodes() {
-		pending[nd.ID] = len(g.SchedPreds(nd.ID))
+		if nd.IsOp() {
+			l.totalOps++
+		}
 	}
+	return l, nil
+}
 
-	type readyOp struct {
-		id    cdfg.NodeID
-		ready int // earliest step it may execute
-	}
-	var ready []readyOp
-
-	// settle marks a node done at time t and releases its successors.
-	// Free successors (shifts, outputs) settle recursively.
-	var settle func(id cdfg.NodeID, t int)
-	settle = func(id cdfg.NodeID, t int) {
-		time[id] = t
-		done[id] = true
-		for _, s := range g.SchedSuccs(id) {
-			pending[s]--
-			if pending[s] != 0 {
+// settle marks a node done at time t and releases its successors. Free
+// successors (shifts, outputs) settle recursively.
+func (l *lister) settle(id cdfg.NodeID, t int) {
+	g := l.g
+	l.time[id] = t
+	for _, succs := range [2][]cdfg.NodeID{g.Succs(id), g.ControlSuccs(id)} {
+		for _, s := range succs {
+			l.pending[s]--
+			if l.pending[s] != 0 {
 				continue
 			}
 			readyAt := 0
-			for _, p := range g.SchedPreds(s) {
-				if time[p] > readyAt {
-					readyAt = time[p]
+			for _, preds := range [2][]cdfg.NodeID{g.Preds(s), g.ControlPreds(s)} {
+				for _, p := range preds {
+					if l.time[p] > readyAt {
+						readyAt = l.time[p]
+					}
 				}
 			}
-			sn := g.Node(s)
-			if sn.Latency() == 0 {
-				settle(s, readyAt)
+			if g.Node(s).Latency() == 0 {
+				l.settle(s, readyAt)
 			} else {
-				ready = append(ready, readyOp{id: s, ready: readyAt + 1})
+				l.ready = append(l.ready, readyOp{id: s, ready: readyAt + 1})
 			}
 		}
 	}
+}
 
-	// Seed: nodes with no predecessors. Snapshot first — settling a seed
-	// cascades and may drive other nodes' pending counts to zero, and
-	// those are enqueued by settle itself; re-examining them here would
-	// enqueue them twice.
-	var seeds []cdfg.NodeID
-	for _, nd := range g.Nodes() {
-		if pending[nd.ID] == 0 {
-			seeds = append(seeds, nd.ID)
-		}
+// run list-schedules the graph under res.
+func (l *lister) run(res Resources) (*Schedule, error) {
+	g := l.g
+	var limit [cdfg.NumClasses]int
+	for c := range limit {
+		limit[c] = -1
 	}
-	for _, id := range seeds {
-		if done[id] {
+	for c, k := range res {
+		limit[c] = k
+	}
+	l.time = make(Times, g.NumNodes())
+	l.ready = l.ready[:0]
+	clear(l.slotUse)
+	// Seed: nodes with no predecessors. Count them all first — settling
+	// a seed cascades and may drive other nodes' pending counts to zero,
+	// and those are enqueued by settle itself; seeding them again here
+	// would enqueue them twice.
+	for _, nd := range g.Nodes() {
+		l.pending[nd.ID] = len(nd.Args) + len(g.ControlPreds(nd.ID))
+	}
+	for _, nd := range g.Nodes() {
+		if len(nd.Args)+len(g.ControlPreds(nd.ID)) != 0 {
 			continue
 		}
-		if g.Node(id).Latency() == 0 {
-			settle(id, 0)
+		if nd.Latency() == 0 {
+			l.settle(nd.ID, 0)
 		} else {
-			ready = append(ready, readyOp{id: id, ready: 1})
+			l.ready = append(l.ready, readyOp{id: nd.ID, ready: 1})
 		}
-	}
-
-	// slotUse[slot][class] tracks units occupied in each modulo slot.
-	slotUse := make([]map[cdfg.Class]int, ii)
-	for i := range slotUse {
-		slotUse[i] = make(map[cdfg.Class]int)
 	}
 
 	scheduledOps := 0
-	totalOps := 0
-	for _, nd := range g.Nodes() {
-		if nd.IsOp() {
-			totalOps++
-		}
-	}
-
-	for t := 1; t <= budget && scheduledOps < totalOps; t++ {
+	for t := 1; t <= l.budget && scheduledOps < l.totalOps; t++ {
 		// Deterministic candidate order: least ALAP, then ID.
-		slices.SortFunc(ready, func(a, b readyOp) int {
-			if w.ALAP[a.id] != w.ALAP[b.id] {
-				return cmp.Compare(w.ALAP[a.id], w.ALAP[b.id])
+		slices.SortFunc(l.ready, func(a, b readyOp) int {
+			if l.alap[a.id] != l.alap[b.id] {
+				return cmp.Compare(l.alap[a.id], l.alap[b.id])
 			}
 			return cmp.Compare(a.id, b.id)
 		})
-		slot := (t - 1) % ii
+		use := &l.slotUse[(t-1)%l.ii]
 		// Iterate over a snapshot: settle() appends ops that become
-		// ready during this step to the (reset) ready slice.
-		snapshot := ready
-		ready = nil
-		var remaining []readyOp
+		// ready during this step to the fresh ready list, which also
+		// collects the candidates left for later steps.
+		snapshot := l.ready
+		l.ready, l.spare = l.spare[:0], snapshot[:0]
 		for _, cand := range snapshot {
 			if cand.ready > t {
-				remaining = append(remaining, cand)
+				l.ready = append(l.ready, cand)
 				continue
 			}
 			cls := g.Node(cand.id).Class()
-			limit, limited := res[cls]
-			if limited && slotUse[slot][cls] >= limit {
-				if w.ALAP[cand.id] <= t {
+			if limit[cls] >= 0 && use[cls] >= limit[cls] {
+				if l.alap[cand.id] <= t {
 					// This op must run now but cannot: the
 					// class is the bottleneck.
 					return nil, &InfeasibleError{
-						Budget:   budget,
+						Budget:   l.budget,
 						Class:    cls,
 						HasClass: true,
 						Node:     cand.id,
@@ -161,24 +187,23 @@ func List(g *cdfg.Graph, budget, ii int, res Resources) (*Schedule, error) {
 						Reason:   fmt.Sprintf("op %q missed its deadline at step %d", g.Node(cand.id).Name, t),
 					}
 				}
-				remaining = append(remaining, cand)
+				l.ready = append(l.ready, cand)
 				continue
 			}
-			slotUse[slot][cls]++
+			use[cls]++
 			scheduledOps++
-			settle(cand.id, t)
+			l.settle(cand.id, t)
 		}
-		ready = append(ready, remaining...)
 	}
 
-	if scheduledOps != totalOps {
+	if scheduledOps != l.totalOps {
 		// Report a representative blocked op (smallest ID for
 		// determinism) so callers can relax constraints around it.
 		e := &InfeasibleError{
-			Budget: budget,
-			Reason: fmt.Sprintf("%d of %d ops unscheduled", totalOps-scheduledOps, totalOps),
+			Budget: l.budget,
+			Reason: fmt.Sprintf("%d of %d ops unscheduled", l.totalOps-scheduledOps, l.totalOps),
 		}
-		for _, cand := range ready {
+		for _, cand := range l.ready {
 			if !e.HasNode || cand.id < e.Node {
 				e.Node = cand.id
 				e.HasNode = true
@@ -188,9 +213,7 @@ func List(g *cdfg.Graph, budget, ii int, res Resources) (*Schedule, error) {
 		}
 		return nil, e
 	}
-
-	s := &Schedule{Graph: g, Steps: budget, II: ii, Time: time}
-	return s, nil
+	return &Schedule{Graph: g, Steps: l.budget, II: l.ii, Time: l.time}, nil
 }
 
 // lowerBound returns the per-class minimum feasible unit counts for the
@@ -222,8 +245,12 @@ func Minimize(g *cdfg.Graph, budget, ii int) (*Schedule, Resources, error) {
 			maxUnits++
 		}
 	}
+	l, err := newLister(g, budget, ii)
+	if err != nil {
+		return nil, nil, err
+	}
 	for iter := 0; iter <= maxUnits+1; iter++ {
-		s, err := List(g, budget, ii, res)
+		s, err := l.run(res)
 		if err == nil {
 			return s, res, nil
 		}

@@ -92,9 +92,11 @@ func (s *Schedule) Validate(res Resources) error {
 			}
 		}
 		ready := 0
-		for _, p := range g.SchedPreds(n.ID) {
-			if s.Time[p] > ready {
-				ready = s.Time[p]
+		for _, preds := range [2][]cdfg.NodeID{n.Args, g.ControlPreds(n.ID)} {
+			for _, p := range preds {
+				if s.Time[p] > ready {
+					ready = s.Time[p]
+				}
 			}
 		}
 		if tn < ready+n.Latency() {

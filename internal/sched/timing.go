@@ -19,7 +19,8 @@ func (t Times) Clone() Times {
 }
 
 // ASAP computes, for every node, the earliest availability time under
-// dataflow and control edges. The returned slice is indexed by NodeID.
+// dataflow and control edges. The returned slice is indexed by NodeID and
+// is the only allocation once the graph's topological order is memoized.
 func ASAP(g *cdfg.Graph) (Times, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -27,14 +28,15 @@ func ASAP(g *cdfg.Graph) (Times, error) {
 	}
 	t := make(Times, g.NumNodes())
 	for _, id := range order {
-		n := g.Node(id)
 		ready := 0
-		for _, p := range g.SchedPreds(id) {
-			if t[p] > ready {
-				ready = t[p]
+		for _, preds := range [2][]cdfg.NodeID{g.Preds(id), g.ControlPreds(id)} {
+			for _, p := range preds {
+				if t[p] > ready {
+					ready = t[p]
+				}
 			}
 		}
-		t[id] = ready + n.Latency()
+		t[id] = ready + g.Node(id).Latency()
 	}
 	return t, nil
 }
@@ -42,7 +44,8 @@ func ASAP(g *cdfg.Graph) (Times, error) {
 // ALAP computes, for every node, the latest availability time such that all
 // outputs are available by budget steps. It returns an error if the budget
 // is smaller than the critical path (some node would get ALAP < ASAP is the
-// caller's check; here only structural errors are reported).
+// caller's check; here only structural errors are reported). Like ASAP it
+// allocates only its result once the topological order is memoized.
 func ALAP(g *cdfg.Graph, budget int) (Times, error) {
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -55,10 +58,11 @@ func ALAP(g *cdfg.Graph, budget int) (Times, error) {
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		limit := budget
-		for _, s := range g.SchedSuccs(id) {
-			cand := t[s] - g.Node(s).Latency()
-			if cand < limit {
-				limit = cand
+		for _, succs := range [2][]cdfg.NodeID{g.Succs(id), g.ControlSuccs(id)} {
+			for _, s := range succs {
+				if cand := t[s] - g.Node(s).Latency(); cand < limit {
+					limit = cand
+				}
 			}
 		}
 		t[id] = limit
