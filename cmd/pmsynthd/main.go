@@ -114,30 +114,32 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The sweep-point cache is process-wide inside internal/flow, so it is
-	// configured directly rather than through the server Config (where a
-	// zero value could not be told apart from "use the default").
-	flow.SetPointCacheCapacity(*sweepPointCacheEntries)
+	// The flag's 0 disables the cache; in the server Config, 0 means the
+	// default and a negative value disables.
+	if *sweepPointCacheEntries <= 0 {
+		*sweepPointCacheEntries = -1
+	}
 
 	srv, err := server.New(server.Config{
-		CacheEntries:       *cacheEntries,
-		DesignCacheEntries: *designCacheEntries,
-		JobWorkers:         *jobWorkers,
-		MaxPendingJobs:     *maxPendingJobs,
-		SweepWorkers:       *sweepWorkers,
-		MaxSweepWorkers:    *maxSweepWorkers,
-		JobTTL:             *jobTTL,
-		EventTail:          *eventTail,
-		RetryAfter:         *retryAfter,
-		StoreDir:           *storeDir,
-		StoreMaxBytes:      *storeMaxBytes,
-		MaxBatchSweeps:     *maxBatchSweeps,
-		MaxWarmJobs:        *maxWarmJobs,
-		SelfURL:            *selfURL,
-		Peers:              splitPeers(*peers),
-		ClaimTTL:           *claimTTL,
-		Logger:             logger,
-		TraceCapacity:      *traceCapacity,
+		CacheEntries:           *cacheEntries,
+		DesignCacheEntries:     *designCacheEntries,
+		SweepPointCacheEntries: *sweepPointCacheEntries,
+		JobWorkers:             *jobWorkers,
+		MaxPendingJobs:         *maxPendingJobs,
+		SweepWorkers:           *sweepWorkers,
+		MaxSweepWorkers:        *maxSweepWorkers,
+		JobTTL:                 *jobTTL,
+		EventTail:              *eventTail,
+		RetryAfter:             *retryAfter,
+		StoreDir:               *storeDir,
+		StoreMaxBytes:          *storeMaxBytes,
+		MaxBatchSweeps:         *maxBatchSweeps,
+		MaxWarmJobs:            *maxWarmJobs,
+		SelfURL:                *selfURL,
+		Peers:                  splitPeers(*peers),
+		ClaimTTL:               *claimTTL,
+		Logger:                 logger,
+		TraceCapacity:          *traceCapacity,
 	})
 	if err != nil {
 		logger.Error("startup failed", "err", err)

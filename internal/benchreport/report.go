@@ -83,12 +83,8 @@ func MeasureSweeps(circuits []*bench.Circuit, workerCounts []int) (*SweepBenchRe
 			if resolved <= 0 {
 				resolved = runtime.GOMAXPROCS(0)
 			}
-			// Every timed sweep starts cold: with the sweep-point cache
-			// warm, the second worker-count run would measure cache
-			// lookups instead of the pipeline.
-			flow.ResetPointCache()
 			start := time.Now()
-			ctxs, err := flow.RunAll(nil, c.Graph(), c.Design.Width, cfgs, workers)
+			ctxs, err := flow.RunAll(nil, nil, c.Graph(), c.Design.Width, cfgs, workers, nil)
 			wall := time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("bench: %s sweep: %w", c.Name, err)

@@ -1,13 +1,18 @@
 package flow
 
-// Sweep-point caching. A design-space sweep runs the standard pipeline
-// once per configuration; the serving layer runs whole sweeps repeatedly
-// as clients iterate on budgets and orders over the same design. The
+// Sweep-point caching. A design-space sweep runs the pipeline once per
+// configuration; the serving layer runs whole sweeps repeatedly as
+// clients iterate on budgets and orders over the same design. The
 // pipeline is deterministic — (graph, width, config) fully determines
-// every artifact — so completed Contexts are memoized in a global LRU
-// keyed by the graph's content hash plus a canonical encoding of the
-// width and configuration. A repeated sweep point returns the cached
-// Context without running any pass.
+// every artifact — so a PointCache memoizes completed Contexts keyed by
+// the graph's content hash plus a canonical encoding of the width and
+// configuration. A repeated sweep point returns the cached Context
+// without running any pass.
+//
+// A PointCache is an owned object, not process state: its owner (the
+// pmsynthd server builds one per Server) attaches it to the context of
+// the sweeps that may share it with WithPointCache. A sweep whose
+// context carries no cache computes every point.
 //
 // Only successful runs are cached (a failure, including cancellation,
 // retries on the next request), and a cached Context has its Ctx field
@@ -17,68 +22,89 @@ package flow
 // RunAll.
 
 import (
+	"context"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/cdfg"
 	"repro/internal/core"
 )
 
-// DefaultPointCacheEntries is the default capacity of the sweep-point
-// cache. Entries hold full pipeline artifacts (schedules, bindings,
-// controllers), so the default stays modest; the pmsynthd flag
+// DefaultPointCacheEntries is the default capacity of a server's
+// sweep-point cache. Entries hold full pipeline artifacts (schedules,
+// bindings, controllers), so the default stays modest; the pmsynthd flag
 // -sweep-point-cache-entries overrides it.
 const DefaultPointCacheEntries = 512
 
-var pointCache = struct {
-	mu       sync.RWMutex
-	capacity int
-	c        *cache.Cache[*Context]
-}{
-	capacity: DefaultPointCacheEntries,
-	c:        cache.New[*Context](DefaultPointCacheEntries),
+// PointCache memoizes completed sweep points. A nil *PointCache is the
+// disabled cache: it stores nothing and reports zero stats. It is safe
+// for concurrent use.
+type PointCache struct {
+	c *cache.Cache[*Context]
 }
 
-// SetPointCacheCapacity resizes the sweep-point cache, dropping all
-// resident entries and resetting its counters. A capacity of zero or less
-// disables caching entirely.
-func SetPointCacheCapacity(n int) {
-	pointCache.mu.Lock()
-	defer pointCache.mu.Unlock()
-	pointCache.capacity = n
-	if n <= 0 {
-		pointCache.c = nil
-		return
+// NewPointCache returns a cache of up to entries sweep points, or nil
+// (the disabled cache) when entries <= 0.
+func NewPointCache(entries int) *PointCache {
+	if entries <= 0 {
+		return nil
 	}
-	pointCache.c = cache.New[*Context](n)
+	return &PointCache{c: cache.New[*Context](entries)}
 }
 
-// ResetPointCache drops all resident entries (and counters) while keeping
-// the configured capacity. Benchmarks use it to keep every timed sweep
-// iteration cold.
-func ResetPointCache() {
-	pointCache.mu.Lock()
-	defer pointCache.mu.Unlock()
-	if pointCache.capacity <= 0 {
-		return
-	}
-	pointCache.c = cache.New[*Context](pointCache.capacity)
-}
-
-// PointCacheStats snapshots the sweep-point cache counters. A disabled
-// cache reports zeros.
-func PointCacheStats() cache.Stats {
-	pointCache.mu.RLock()
-	c := pointCache.c
-	pointCache.mu.RUnlock()
-	if c == nil {
+// Stats snapshots the cache counters. A disabled cache reports zeros.
+func (pc *PointCache) Stats() cache.Stats {
+	if pc == nil {
 		return cache.Stats{}
 	}
-	return c.Stats()
+	return pc.c.Stats()
+}
+
+type pointCacheKey struct{}
+
+// WithPointCache returns a context whose sweeps (RunAll) memoize their
+// points in pc. A nil pc attaches the disabled cache.
+func WithPointCache(ctx context.Context, pc *PointCache) context.Context {
+	return context.WithValue(ctx, pointCacheKey{}, pc)
+}
+
+// pointCacheFrom returns the cache attached to ctx, or nil.
+func pointCacheFrom(ctx context.Context) *PointCache {
+	pc, _ := ctx.Value(pointCacheKey{}).(*PointCache)
+	return pc
+}
+
+// get returns the Context memoized under key, computing it with run on a
+// miss. Concurrent requests for one key coalesce onto a single run;
+// failed runs are returned to their caller but never cached.
+func (pc *PointCache) get(key string, run func() *Context) *Context {
+	var failed *Context
+	fc, err := pc.c.GetOrCompute(key, func() (*Context, error) {
+		fc := run()
+		if fc.Err != nil {
+			// Keep the Context (the caller reports its Err) but make the
+			// cache skip it so a later request retries.
+			failed = fc
+			return nil, fc.Err
+		}
+		// A cached Context must not pin the requester's cancellation
+		// context beyond the run that computed it.
+		fc.Ctx = nil
+		return fc, nil
+	})
+	if err != nil {
+		if failed != nil {
+			return failed
+		}
+		// Joined another caller's failed computation: that failure may
+		// have been a cancellation of *their* ctx, so run locally rather
+		// than report a foreign error.
+		return run()
+	}
+	return fc
 }
 
 // pointKey canonically encodes one sweep point. The pipeline signature

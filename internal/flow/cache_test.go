@@ -21,15 +21,16 @@ func sweepCfgs() []core.Config {
 }
 
 func TestPointCacheHitsOnRepeatSweep(t *testing.T) {
-	ResetPointCache()
+	pc := NewPointCache(DefaultPointCacheEntries)
+	ctx := WithPointCache(context.Background(), pc)
 	d := compile(t)
 	cfgs := sweepCfgs()
 
-	first, err := RunAll(context.Background(), d.Graph, d.Width, cfgs, 2)
+	first, err := RunAll(ctx, nil, d.Graph, d.Width, cfgs, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := PointCacheStats()
+	st := pc.Stats()
 	if st.Misses != int64(len(cfgs)) {
 		t.Fatalf("after cold sweep: misses = %d, want %d (stats %+v)", st.Misses, len(cfgs), st)
 	}
@@ -37,11 +38,11 @@ func TestPointCacheHitsOnRepeatSweep(t *testing.T) {
 		t.Fatalf("after cold sweep: entries = %d, want %d", st.Entries, len(cfgs))
 	}
 
-	second, err := RunAll(context.Background(), d.Graph, d.Width, cfgs, 2)
+	second, err := RunAll(ctx, nil, d.Graph, d.Width, cfgs, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = PointCacheStats()
+	st = pc.Stats()
 	if st.Hits != int64(len(cfgs)) {
 		t.Fatalf("after warm sweep: hits = %d, want %d (stats %+v)", st.Hits, len(cfgs), st)
 	}
@@ -110,23 +111,25 @@ func TestPointCacheKeyDiscriminates(t *testing.T) {
 }
 
 func TestPointCacheDisabledRunsDirectly(t *testing.T) {
-	SetPointCacheCapacity(0)
-	defer SetPointCacheCapacity(DefaultPointCacheEntries)
-
+	pc := NewPointCache(0)
 	d := compile(t)
 	cfgs := sweepCfgs()[:1]
-	out1, err := RunAll(context.Background(), d.Graph, d.Width, cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
+	// A context with the disabled cache attached and one with no cache
+	// at all both run every point.
+	for _, ctx := range []context.Context{WithPointCache(context.Background(), pc), context.Background()} {
+		out1, err := RunAll(ctx, nil, d.Graph, d.Width, cfgs, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out2, err := RunAll(ctx, nil, d.Graph, d.Width, cfgs, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out1[0] == out2[0] {
+			t.Fatal("uncached sweeps returned a shared Context")
+		}
 	}
-	out2, err := RunAll(context.Background(), d.Graph, d.Width, cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out1[0] == out2[0] {
-		t.Fatal("disabled cache still returned a shared Context")
-	}
-	if st := PointCacheStats(); st != (cache.Stats{}) {
+	if st := pc.Stats(); st != (cache.Stats{}) {
 		t.Fatalf("disabled cache reports nonzero stats: %+v", st)
 	}
 }

@@ -7,8 +7,8 @@
 // cmd/pmsched -sweep, cmd/tables, the benchmark harness).
 //
 // A Pass is one stage of the flow; a Pipeline runs passes in order over a
-// Context, recording per-pass wall-clock timings and diagnostics. The
-// Standard pipeline reproduces the paper's fixed sequence:
+// Context, recording a "pass:<name>" span per pass when the run is traced.
+// The Standard pipeline reproduces the paper's fixed sequence:
 //
 //	schedule -> bind -> controller -> baseline -> activity
 //

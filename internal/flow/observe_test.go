@@ -4,16 +4,16 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/power"
 )
 
 // TestRunAllObserved: the observer fires exactly once per configuration
-// with its input index, and observation changes nothing about the
-// artifacts.
+// with its input index and the point's wall-clock time, and observation
+// changes nothing about the artifacts.
 func TestRunAllObserved(t *testing.T) {
-	ResetPointCache()
 	d := compile(t)
 	var cfgs []core.Config
 	for b := 2; b <= 5; b++ {
@@ -22,13 +22,16 @@ func TestRunAllObserved(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	ctxs, err := RunAllObserved(context.Background(), d.Graph, d.Width, cfgs, 2,
-		func(i int, fc *Context) {
+	ctxs, err := RunAll(context.Background(), nil, d.Graph, d.Width, cfgs, 2,
+		func(i int, fc *Context, elapsed time.Duration) {
 			mu.Lock()
 			defer mu.Unlock()
 			seen[i]++
 			if fc == nil || fc.Config.Budget != cfgs[i].Budget {
 				t.Errorf("observer %d: wrong context %+v", i, fc)
+			}
+			if elapsed <= 0 {
+				t.Errorf("observer %d: elapsed = %v, want > 0", i, elapsed)
 			}
 		})
 	if err != nil {
@@ -43,7 +46,7 @@ func TestRunAllObserved(t *testing.T) {
 		}
 	}
 
-	plain, err := RunAll(context.Background(), d.Graph, d.Width, cfgs, 2)
+	plain, err := RunAll(context.Background(), nil, d.Graph, d.Width, cfgs, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

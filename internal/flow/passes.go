@@ -25,8 +25,6 @@ func (SchedulePass) Run(c *Context) error {
 		return err
 	}
 	c.PM = pm
-	c.Diag("schedule: %d steps, %d power managed muxes, units %v",
-		pm.Schedule.Steps, pm.NumManaged(), pm.Resources)
 	return nil
 }
 
@@ -42,7 +40,6 @@ func (BindPass) Run(c *Context) error {
 		return errors.New("bind requires the schedule pass")
 	}
 	c.Binding = alloc.Bind(c.PM.Schedule, c.PM.Guards)
-	c.Diag("bind: units %v, %d registers", c.Binding.Units, c.Binding.Registers)
 	return nil
 }
 
@@ -87,7 +84,6 @@ func (BaselinePass) Run(c *Context) error {
 		return err
 	}
 	c.BaselineController = ctl
-	c.Diag("baseline: units %v", res)
 	return nil
 }
 
@@ -135,11 +131,6 @@ func (p OptimalPass) Run(c *Context) error {
 		return err
 	}
 	c.Optimal = r
-	status := "certified optimal"
-	if !r.Cert.Optimal {
-		status = fmt.Sprintf("lower bound %.4g after %d expansions", r.Cert.LowerBound, r.Cert.Expansions)
-	}
-	c.Diag("optimal-schedule: power %.4g (%s), %d guarded ops", r.Power, status, r.Gated)
 	return nil
 }
 
@@ -156,8 +147,5 @@ func (ActivityPass) Run(c *Context) error {
 		return errors.New("activity requires the schedule pass")
 	}
 	c.Activity, c.ActivityExact = power.AnalyzeExact(c.PM.Graph, c.PM.Guards)
-	if !c.ActivityExact {
-		c.Diag("activity: falling back to sampled analysis (too many selects for the exact enumeration)")
-	}
 	return nil
 }

@@ -6,63 +6,48 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/cdfg"
 	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
-// RunAll evaluates the standard pipeline once per configuration over a
-// bounded worker pool and returns one Context per configuration, in input
-// order. Results are deterministic: the worker count affects wall-clock
-// time only, never the artifacts.
+// RunAll evaluates pipeline p (nil means Standard()) once per
+// configuration over a bounded worker pool and returns one Context per
+// configuration, in input order. Results are deterministic: the worker
+// count affects wall-clock time only, never the artifacts.
 //
 // The shared read-only analyses of g (fanin cones, depth, height, critical
 // path) are prewarmed once and flow into every worker's private clones, so
-// the per-configuration runs do not recompute them. Completed points are
-// additionally memoized in the process-wide sweep-point cache (see
-// cache.go): re-running a sweep point for an identical (graph, width,
-// config) triple returns the cached Context without executing any pass.
+// the per-configuration runs do not recompute them. When ctx carries a
+// PointCache (WithPointCache), completed points are memoized there:
+// re-running a point for an identical (pipeline, graph, width, config)
+// returns the cached Context without executing any pass. Without one,
+// every point runs the pipeline.
+//
+// observe, when non-nil, is called once per configuration immediately
+// after it finishes (successfully or not), with the configuration's input
+// index, its Context and the wall-clock time the point took — a cache hit
+// reports the lookup, not the original run. Observers feed progress
+// reporting and per-point timing in the layers above (the pmsynth sweep
+// API and the pmsynthd job manager). They are called from the worker
+// goroutines, so calls may arrive out of input order and concurrently;
+// observe must be safe for concurrent use. Observation never influences
+// the artifacts.
 //
 // A configuration whose pipeline fails has its error recorded in the
 // Context's Err field; RunAll itself returns an error only when ctx is
 // canceled, in which case the contexts evaluated so far are still
 // returned (unevaluated slots are nil).
-func RunAll(ctx context.Context, g *cdfg.Graph, width int, cfgs []core.Config, workers int) ([]*Context, error) {
-	return RunAllPipelineObserved(ctx, nil, g, width, cfgs, workers, nil)
-}
-
-// RunAllPipeline is RunAll with an explicit pipeline: every configuration
-// runs p instead of the standard pass sequence (nil p means Standard()).
-// Cached sweep points are keyed by the pipeline's pass names as well, so
-// sweeps over different pipelines never alias.
-func RunAllPipeline(ctx context.Context, p *Pipeline, g *cdfg.Graph, width int, cfgs []core.Config, workers int) ([]*Context, error) {
-	return RunAllPipelineObserved(ctx, p, g, width, cfgs, workers, nil)
-}
-
-// RunAllObserved is RunAll with a completion observer: observe(i, fc) is
-// called once per configuration, immediately after its pipeline finishes
-// (successfully or not), with the configuration's input index and its
-// Context. Observers feed progress reporting in the layers above (the
-// pmsynth sweep API and the pmsynthd job manager).
-//
-// The observer is called from the worker goroutines, so calls may arrive
-// out of input order and concurrently; it must be safe for concurrent use.
-// Observation never influences the artifacts: results remain identical to
-// an unobserved run.
-func RunAllObserved(ctx context.Context, g *cdfg.Graph, width int, cfgs []core.Config, workers int, observe func(i int, fc *Context)) ([]*Context, error) {
-	return RunAllPipelineObserved(ctx, nil, g, width, cfgs, workers, observe)
-}
-
-// RunAllPipelineObserved combines RunAllPipeline and RunAllObserved: an
-// explicit pipeline (nil means Standard()) with a completion observer.
-func RunAllPipelineObserved(ctx context.Context, p *Pipeline, g *cdfg.Graph, width int, cfgs []core.Config, workers int, observe func(i int, fc *Context)) ([]*Context, error) {
+func RunAll(ctx context.Context, p *Pipeline, g *cdfg.Graph, width int, cfgs []core.Config, workers int, observe func(i int, fc *Context, elapsed time.Duration)) ([]*Context, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if p == nil {
 		p = Standard()
 	}
+	pc := pointCacheFrom(ctx)
 	sig := strings.Join(p.Names(), ",")
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -84,10 +69,10 @@ func RunAllPipelineObserved(ctx context.Context, p *Pipeline, g *cdfg.Graph, wid
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				fc := runPoint(ctx, p, sig, g, width, cfgs[i])
+				fc, elapsed := runPoint(ctx, pc, p, sig, g, width, cfgs[i])
 				out[i] = fc
 				if observe != nil {
-					observe(i, fc)
+					observe(i, fc, elapsed)
 				}
 			}
 		}()
@@ -105,31 +90,23 @@ feed:
 	return out, ctx.Err()
 }
 
-// runPoint evaluates one sweep point through the sweep-point cache: a
-// point already computed for an identical (graph, width, config) triple
-// returns its memoized Context, concurrent requests for the same point
-// coalesce onto one pipeline run, and everything else runs the standard
-// pipeline directly. Failed runs — including canceled ones — are never
-// cached.
+// runPoint evaluates one sweep point, through pc when it is non-nil, and
+// reports how long the evaluation took.
 //
 // With a telemetry.Trace on ctx, each evaluation records a "point" span
 // (budget/II config attrs) whose children are the per-pass spans; a
 // point answered from the cache records the span with cached=true and no
 // pass children (the passes ran under whichever trace computed it).
-func runPoint(ctx context.Context, p *Pipeline, sig string, g *cdfg.Graph, width int, cfg core.Config) *Context {
-	pointCache.mu.RLock()
-	c := pointCache.c
-	pointCache.mu.RUnlock()
-
+func runPoint(ctx context.Context, pc *PointCache, p *Pipeline, sig string, g *cdfg.Graph, width int, cfg core.Config) (*Context, time.Duration) {
+	//pmlint:allow determinism point wall-clock timing is telemetry only; it never feeds schedules, tables or fingerprints
+	start := time.Now()
 	ctx, psp := telemetry.StartSpan(ctx, "point")
 	if psp != nil {
 		psp.SetAttr("budget", strconv.Itoa(cfg.Budget))
 		if cfg.II > 0 {
 			psp.SetAttr("ii", strconv.Itoa(cfg.II))
 		}
-		defer psp.End()
 	}
-
 	ran := false
 	run := func() *Context {
 		ran = true
@@ -137,36 +114,15 @@ func runPoint(ctx context.Context, p *Pipeline, sig string, g *cdfg.Graph, width
 		fc.Err = p.Run(fc)
 		return fc
 	}
-	defer func() {
-		if !ran {
-			psp.SetAttr("cached", "true")
-		}
-	}()
-	if c == nil {
-		return run()
+	var fc *Context
+	if pc == nil {
+		fc = run()
+	} else {
+		fc = pc.get(pointKey(sig, g, width, cfg), run)
 	}
-	var failed *Context
-	fc, err := c.GetOrCompute(pointKey(sig, g, width, cfg), func() (*Context, error) {
-		fc := run()
-		if fc.Err != nil {
-			// Keep the Context (the caller reports its Err) but make the
-			// cache skip it so a later request retries.
-			failed = fc
-			return nil, fc.Err
-		}
-		// A cached Context must not pin the requester's cancellation
-		// context beyond the run that computed it.
-		fc.Ctx = nil
-		return fc, nil
-	})
-	if err != nil {
-		if failed != nil {
-			return failed
-		}
-		// Joined another caller's failed computation: that failure may
-		// have been a cancellation of *their* ctx, so run locally rather
-		// than report a foreign error.
-		return run()
+	if !ran {
+		psp.SetAttr("cached", "true")
 	}
-	return fc
+	psp.End()
+	return fc, time.Since(start)
 }

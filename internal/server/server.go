@@ -20,6 +20,7 @@ import (
 	"repro"
 	"repro/internal/cache"
 	"repro/internal/cluster"
+	"repro/internal/flow"
 	"repro/internal/jobs"
 	"repro/internal/telemetry"
 )
@@ -31,6 +32,11 @@ type Config struct {
 	// DesignCacheEntries bounds the shared compiled-design cache used by
 	// both the synthesize and sweep paths; <= 0 means 256.
 	DesignCacheEntries int
+	// SweepPointCacheEntries bounds the server's sweep-point cache, which
+	// memoizes evaluated sweep points across the sweep jobs of this
+	// server; 0 means flow.DefaultPointCacheEntries (512) and < 0
+	// disables it.
+	SweepPointCacheEntries int
 	// JobWorkers is the fixed pool of workers running sweep jobs;
 	// <= 0 means 2.
 	JobWorkers int
@@ -130,6 +136,7 @@ type Server struct {
 	cfg     Config
 	cache   *cache.Cache[*synthResult]
 	designs *cache.Cache[*pmsynth.Design]
+	points  *flow.PointCache  // nil when disabled
 	store   *cache.Store      // nil when persistence is disabled
 	cluster *cluster.Cluster  // nil when single-node
 	claims  *cache.ClaimStore // nil unless clustered with a store
@@ -171,6 +178,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DesignCacheEntries <= 0 {
 		cfg.DesignCacheEntries = 256
+	}
+	if cfg.SweepPointCacheEntries == 0 {
+		cfg.SweepPointCacheEntries = flow.DefaultPointCacheEntries
 	}
 	if cfg.JobWorkers <= 0 {
 		cfg.JobWorkers = 2
@@ -234,6 +244,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		cache:   cache.New[*synthResult](cfg.CacheEntries),
 		designs: cache.New[*pmsynth.Design](cfg.DesignCacheEntries),
+		points:  flow.NewPointCache(cfg.SweepPointCacheEntries),
 		store:   store,
 		cluster: clu,
 		claims:  claims,
@@ -787,9 +798,10 @@ func (s *Server) admitSweep(ctx context.Context, source string, spec pmsynth.Swe
 				}
 			}
 			// The job continues the submitting request's trace: jobCtx
-			// carries the job's cancellation, re-dressed with the trace
-			// and re-parented under the request's root span.
-			jctx := telemetry.WithSpan(telemetry.WithTrace(jobCtx, tr), rootSp)
+			// carries the job's cancellation, re-dressed with the trace,
+			// re-parented under the request's root span, and given the
+			// server's sweep-point cache.
+			jctx := flow.WithPointCache(telemetry.WithSpan(telemetry.WithTrace(jobCtx, tr), rootSp), s.points)
 			jctx, runSp := telemetry.StartSpan(jctx, "run")
 			defer runSp.End()
 			sr, err := pmsynth.SweepContextProgress(jctx, design, spec, pmsynth.SweepProgress(prog))

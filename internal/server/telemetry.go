@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
-	"repro/internal/flow"
 	"repro/internal/telemetry"
 )
 
@@ -64,10 +63,10 @@ func newServerMetrics(s *Server) *serverMetrics {
 	ctr("pmsynthd_design_cache_evictions", "compiled-design cache evictions", func() int64 { return s.designs.Stats().Evictions })
 	gauge("pmsynthd_design_cache_entries", "compiled-design cache resident entries", func() int64 { return s.designs.Stats().Entries })
 
-	// Process-wide sweep-point cache (internal/flow).
-	ctr("pmsynthd_sweeppoint_cache_hits", "sweep-point cache hits", func() int64 { return flow.PointCacheStats().Hits })
-	ctr("pmsynthd_sweeppoint_cache_misses", "sweep-point cache misses", func() int64 { return flow.PointCacheStats().Misses })
-	gauge("pmsynthd_sweeppoint_cache_entries", "sweep-point cache resident entries", func() int64 { return flow.PointCacheStats().Entries })
+	// The server's sweep-point cache (internal/flow).
+	ctr("pmsynthd_sweeppoint_cache_hits", "sweep-point cache hits", func() int64 { return s.points.Stats().Hits })
+	ctr("pmsynthd_sweeppoint_cache_misses", "sweep-point cache misses", func() int64 { return s.points.Stats().Misses })
+	gauge("pmsynthd_sweeppoint_cache_entries", "sweep-point cache resident entries", func() int64 { return s.points.Stats().Entries })
 
 	// Disk store. Series are emitted unconditionally (zeros when
 	// persistence is disabled) so dashboards never miss them.
@@ -177,8 +176,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 	tiers.With(func() float64 { return float64(s.cache.Stats().Misses) }, "result", "miss")
 	tiers.With(func() float64 { return float64(s.designs.Stats().Hits) }, "design", "hit")
 	tiers.With(func() float64 { return float64(s.designs.Stats().Misses) }, "design", "miss")
-	tiers.With(func() float64 { return float64(flow.PointCacheStats().Hits) }, "sweeppoint", "hit")
-	tiers.With(func() float64 { return float64(flow.PointCacheStats().Misses) }, "sweeppoint", "miss")
+	tiers.With(func() float64 { return float64(s.points.Stats().Hits) }, "sweeppoint", "hit")
+	tiers.With(func() float64 { return float64(s.points.Stats().Misses) }, "sweeppoint", "miss")
 	tiers.With(func() float64 { return float64(storeStats().Hits) }, "store", "hit")
 	tiers.With(func() float64 { return float64(storeStats().Misses) }, "store", "miss")
 

@@ -10,8 +10,10 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/jobs"
@@ -19,10 +21,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// traceSweepSrc is the absdiff example under a unique name, so this
-// test's sweep points can never be served from the process-wide
-// sweep-point cache warmed by other tests — a cached point records no
-// pass spans, and this test asserts they exist.
+// traceSweepSrc is the absdiff example under its own name.
 const traceSweepSrc = `
 func absdiff_traced(a: num<8>, b: num<8>) out: num<8> =
 begin
@@ -134,21 +133,7 @@ func TestSweepTraceSpanTree(t *testing.T) {
 		}
 	}
 
-	// One point span per configuration under the run span, each with one
-	// span per pipeline pass underneath.
-	run := findSpans(root.Children, "run")[0]
-	points := findSpans(run.Children, "point")
-	if len(points) != created.Total {
-		t.Fatalf("%d point spans, want %d", len(points), created.Total)
-	}
-	passes := []string{"pass:schedule", "pass:bind", "pass:controller", "pass:baseline", "pass:activity"}
-	for _, pt := range points {
-		for _, pass := range passes {
-			if got := findSpans(pt.Children, pass); len(got) != 1 {
-				t.Fatalf("point span %d has %d %q spans, want 1", pt.ID, len(got), pass)
-			}
-		}
-	}
+	checkPassSpans(t, findSpans(root.Children, "run")[0], created.Total)
 
 	// Durations are real and parent links match tree positions.
 	var walk func(parent *telemetry.SpanNode, ns []*telemetry.SpanNode)
@@ -178,6 +163,64 @@ func TestSweepTraceSpanTree(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("trace %q missing from /debug/traces", created.Trace)
+	}
+}
+
+// checkPassSpans asserts one point span per configuration under a job's
+// run span, each with one span per pipeline pass underneath — every
+// point computed, none answered from a sweep-point cache.
+func checkPassSpans(t *testing.T, run *telemetry.SpanNode, total int) {
+	t.Helper()
+	points := findSpans(run.Children, "point")
+	if len(points) != total {
+		t.Fatalf("%d point spans, want %d", len(points), total)
+	}
+	passes := []string{"pass:schedule", "pass:bind", "pass:controller", "pass:baseline", "pass:activity"}
+	for _, pt := range points {
+		for _, pass := range passes {
+			if got := findSpans(pt.Children, pass); len(got) != 1 {
+				t.Fatalf("point span %d has %d %q spans, want 1", pt.ID, len(got), pass)
+			}
+		}
+	}
+}
+
+// TestSweepPointCachePerServer pins that each server owns its
+// sweep-point cache: two servers in one process run the same sweep, and
+// the second computes every point — zero point-cache hits, full pass
+// spans — instead of reading points the first one cached.
+func TestSweepPointCachePerServer(t *testing.T) {
+	req := server.SweepRequest{
+		Source: traceSweepSrc,
+		Spec:   server.SweepSpecRequest{BudgetMin: 2, BudgetMax: 4},
+	}
+	for i := 0; i < 2; i++ {
+		_, ts := newTestServer(t, server.Config{})
+		var created server.SweepCreatedResponse
+		if code := postJSON(t, ts.URL+"/v1/sweep", req, &created); code != http.StatusAccepted {
+			t.Fatalf("server %d: sweep create status = %d", i, code)
+		}
+		checkMonotonic(t, streamEvents(t, ts.URL+"/v1/jobs/"+created.ID+"/events", nil), jobs.StateSucceeded)
+
+		var snap telemetry.Snapshot
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+created.ID+"/trace", &snap); code != http.StatusOK {
+			t.Fatalf("server %d: trace status = %d", i, code)
+		}
+		runs := findSpans(snap.Roots, "run")
+		if len(runs) != 1 {
+			t.Fatalf("server %d: %d run spans, want 1", i, len(runs))
+		}
+		checkPassSpans(t, runs[0], created.Total)
+
+		metrics := fetchRaw(t, ts.URL+"/metrics")
+		for _, want := range []string{
+			"pmsynthd_sweeppoint_cache_hits 0\n",
+			fmt.Sprintf("pmsynthd_sweeppoint_cache_misses %d\n", created.Total),
+		} {
+			if !strings.Contains(metrics, want) {
+				t.Fatalf("server %d: metrics missing %q:\n%s", i, want, metrics)
+			}
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func MeasureTableII(c *bench.Circuit, budgets []int) ([]RowII, error) {
 	for i, budget := range budgets {
 		cfgs[i] = core.Config{Budget: budget, Weights: power.Weights}
 	}
-	ctxs, err := flow.RunAll(context.Background(), c.Graph(), c.Design.Width, cfgs, 0)
+	ctxs, err := flow.RunAll(context.Background(), nil, c.Graph(), c.Design.Width, cfgs, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func TableOptimal(maxExpansions int) (string, error) {
 		for i, budget := range c.Budgets {
 			cfgs[i] = core.Config{Budget: budget, Weights: power.Weights}
 		}
-		ctxs, err := flow.RunAllPipeline(context.Background(), p, c.Graph(), c.Design.Width, cfgs, 0)
+		ctxs, err := flow.RunAll(context.Background(), p, c.Graph(), c.Design.Width, cfgs, 0, nil)
 		if err != nil {
 			return "", err
 		}

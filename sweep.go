@@ -118,7 +118,8 @@ type SweepPoint struct {
 	// Err records a per-configuration failure (e.g. a budget below the
 	// critical path, or pipelining with the force-directed backend).
 	Err error
-	// Elapsed is the time the pipeline spent on this configuration.
+	// Elapsed is the wall-clock time this configuration took to evaluate
+	// (a point served from a sweep-point cache reports the lookup).
 	Elapsed time.Duration
 }
 
@@ -169,16 +170,19 @@ func SweepContextProgress(ctx context.Context, d *Design, spec SweepSpec, progre
 	for i, o := range opts {
 		cfgs[i] = o.coreConfig()
 	}
-	var observe func(int, *flow.Context)
+	total := len(cfgs)
 	if progress != nil {
-		total := len(cfgs)
 		progress(0, total)
-		var done atomic.Int64
-		observe = func(int, *flow.Context) {
+	}
+	elapsed := make([]time.Duration, total)
+	var done atomic.Int64
+	observe := func(i int, _ *flow.Context, took time.Duration) {
+		elapsed[i] = took
+		if progress != nil {
 			progress(int(done.Add(1)), total)
 		}
 	}
-	ctxs, err := flow.RunAllObserved(ctx, d.Graph, d.Width, cfgs, spec.Workers, observe)
+	ctxs, err := flow.RunAll(ctx, nil, d.Graph, d.Width, cfgs, spec.Workers, observe)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +194,7 @@ func SweepContextProgress(ctx context.Context, d *Design, spec SweepSpec, progre
 			p.Err = fmt.Errorf("pmsynth: configuration not evaluated")
 			continue
 		}
-		p.Elapsed = fc.Elapsed()
+		p.Elapsed = elapsed[i]
 		if fc.Err != nil {
 			p.Err = fc.Err
 			continue

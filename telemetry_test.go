@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/flow"
 	"repro/internal/telemetry"
 )
 
@@ -62,16 +61,11 @@ func TestSweepIdenticalWithTracing(t *testing.T) {
 	c := bench.GCD()
 	spec := SweepSpec{BudgetMin: 5, BudgetMax: 8, Workers: 1}
 
-	// Both runs start cold so each pays the full pipeline: a warm
-	// sweep-point cache would serve the second run from memory and the
-	// comparison would prove nothing.
-	flow.ResetPointCache()
 	plain, err := SweepContext(context.Background(), c.Design, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	flow.ResetPointCache()
 	tr := telemetry.NewTrace("")
 	traced, err := SweepContext(telemetry.WithTrace(context.Background(), tr), c.Design, spec)
 	if err != nil {
@@ -106,19 +100,48 @@ func TestSweepIdenticalWithTracing(t *testing.T) {
 	}
 }
 
+// TestSweepTracesEveryPointAcrossWorkerCounts pins that library sweeps
+// share no state: the same gcd sweep run at workers=1 and then at
+// workers=8, each under its own trace, computes every point both times,
+// so each trace records one pass:schedule span per point. A sweep served
+// from a cache filled by the first run would record none.
+func TestSweepTracesEveryPointAcrossWorkerCounts(t *testing.T) {
+	c := bench.GCD()
+	for _, workers := range []int{1, 8} {
+		tr := telemetry.NewTrace("")
+		res, err := SweepContext(telemetry.WithTrace(context.Background(), tr), c.Design, gcdSweepSpec(workers))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		schedules := 0
+		var walk func(ns []*telemetry.SpanNode)
+		walk = func(ns []*telemetry.SpanNode) {
+			for _, n := range ns {
+				if n.Name == "pass:schedule" {
+					schedules++
+				}
+				walk(n.Children)
+			}
+		}
+		walk(tr.Snapshot().Roots)
+		if schedules != len(res.Points) {
+			t.Fatalf("workers=%d: %d pass:schedule spans, want one per point (%d)", workers, schedules, len(res.Points))
+		}
+	}
+}
+
 // BenchmarkTelemetryOverhead measures the cost of the tracing
 // instrumentation on the gcd sweep: "plain" runs with no trace in the
 // context (the production default for library callers — every StartSpan
 // is the zero-allocation nil path), "traced" runs with a live trace
-// recording every span. Iterations run cold (point cache reset) so both
-// variants pay the real pipeline.
+// recording every span. Library sweeps are uncached, so every iteration
+// of both variants pays the real pipeline.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	c := bench.GCD()
 	spec := SweepSpec{BudgetMin: 5, BudgetMax: 10, Workers: 1}
 	run := func(b *testing.B, ctx func() context.Context) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			flow.ResetPointCache()
 			res, err := SweepContext(ctx(), c.Design, spec)
 			if err != nil {
 				b.Fatal(err)
